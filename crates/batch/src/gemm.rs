@@ -12,6 +12,8 @@
 //! * [`gemm_batched_aliased`] — the same as the varied flavour except that
 //!   the `A` operand lives in the *same* device buffer as the output `C`
 //!   (the in-place update `Ybig(:,1:rl) -= Y ⊙ W` of Algorithm 3, line 10).
+//!   Every `A` window must lie after every `C` window; the buffer is split
+//!   between the two regions and `A` is read in place, with no copy.
 
 use crate::buffer::DeviceBuffer;
 use crate::device::Device;
@@ -237,67 +239,33 @@ pub fn gemm_batched_varied<T: Scalar>(
     if descs.is_empty() {
         return;
     }
-    for d in descs {
-        assert!(
-            d.a_offset + d.a_span() <= a.len(),
-            "gemm_batched_varied: A out of bounds"
-        );
-        assert!(
-            d.b_offset + d.b_span() <= b.len(),
-            "gemm_batched_varied: B out of bounds"
-        );
-        assert!(
-            d.c_offset + d.c_span() <= c.len(),
-            "gemm_batched_varied: C out of bounds"
-        );
-    }
-    let flops: u64 = descs.iter().map(|d| d.flops()).sum();
-    device.record_launch("gemm_batched", descs.len(), flops, stream.id());
-    // No error channel on gemm (see `getrs_batched_varied`): FailLaunch
-    // degrades to NaN poisoning of the output windows.
-    let mut poison = false;
-    match device.take_launch_fault("gemm_batched") {
-        Some((FaultAction::FailLaunch | FaultAction::PoisonNan, _)) => poison = true,
-        Some((FaultAction::Delay { micros }, _)) => {
-            std::thread::sleep(std::time::Duration::from_micros(micros))
-        }
-        None => {}
-    }
-
-    let a_data = a.data();
-    let b_data = b.data();
-    let windows: Vec<MatWindow> = descs
-        .iter()
-        .map(|d| MatWindow {
-            offset: d.c_offset,
-            rows: d.m,
-            cols: d.n,
-            ld: d.ldc,
-        })
-        .collect();
-    process_windows_mut(c.data_mut(), &windows, device.is_parallel(), |i, c_view| {
-        let d = &descs[i];
-        gemm_into(
-            d,
-            &a_data[d.a_offset..d.a_offset + d.a_span()],
-            &b_data[d.b_offset..d.b_offset + d.b_span()],
-            c_view,
-        );
-    });
-    if poison {
-        for d in descs {
-            poison_span(c.data_mut(), d.c_offset, d.c_span());
-        }
-    }
+    check_bounds("gemm_batched_varied", descs, a.len(), b.len(), c.len());
+    launch_varied(
+        device,
+        stream,
+        "gemm_batched",
+        descs,
+        a.data(),
+        0,
+        b.data(),
+        c.data_mut(),
+    );
 }
 
 /// Varied batched gemm whose `A` operand lives in the same buffer as the
-/// output `C` (used for the in-place low-rank update of Algorithm 3/4:
-/// `Ybig(:, 1:rl) <- Ybig(:, 1:rl) - Y^{l+1} ⊙ W`).
+/// output `C`: the in-place low-rank update of Algorithm 3/4,
+/// `Ybig(:, 1:rl) <- Ybig(:, 1:rl) - Y^{l+1} ⊙ W`.
 ///
-/// The `A` windows are copied into thread-local scratch before the product
-/// is accumulated into `C`, so `A` and `C` windows may interleave freely in
-/// the shared buffer as long as the `C` windows themselves do not overlap.
+/// Every `A` window must lie after every `C` window.  The update satisfies
+/// this by construction: `C` covers the leading `rl` columns of `Ybig` and
+/// `A` the columns of the next finer level, which start at column `rl` or
+/// later.  The buffer is split at the lowest `A` offset, so `A` is read in
+/// place while the `C` windows below the split are written; nothing is
+/// copied.
+///
+/// # Panics
+/// Panics if any window is out of bounds, if output windows overlap, or if
+/// a `C` window reaches past the start of the `A` region.
 pub fn gemm_batched_aliased<T: Scalar>(
     device: &Device,
     stream: Stream,
@@ -308,41 +276,84 @@ pub fn gemm_batched_aliased<T: Scalar>(
     if descs.is_empty() {
         return;
     }
+    check_bounds("gemm_batched_aliased", descs, ac.len(), b.len(), ac.len());
+    let split = descs
+        .iter()
+        .filter(|d| d.a_span() > 0)
+        .map(|d| d.a_offset)
+        .min()
+        .unwrap_or(ac.len());
     for d in descs {
+        let c_end = d.c_offset + d.c_span();
         assert!(
-            d.a_offset + d.a_span() <= ac.len(),
-            "gemm_batched_aliased: A out of bounds"
-        );
-        assert!(
-            d.b_offset + d.b_span() <= b.len(),
-            "gemm_batched_aliased: B out of bounds"
-        );
-        assert!(
-            d.c_offset + d.c_span() <= ac.len(),
-            "gemm_batched_aliased: C out of bounds"
+            c_end <= split,
+            "gemm_batched_aliased: C window ends at {c_end}, inside the A region that starts at {split}"
         );
     }
+    let (c_data, a_data) = ac.data_mut().split_at_mut(split);
+    launch_varied(
+        device,
+        stream,
+        "gemm_batched_aliased",
+        descs,
+        a_data,
+        split,
+        b.data(),
+        c_data,
+    );
+}
+
+/// Assert that every operand window of a varied batch lies inside its
+/// buffer.
+fn check_bounds<T: Scalar>(
+    kernel: &str,
+    descs: &[GemmDesc<T>],
+    a_len: usize,
+    b_len: usize,
+    c_len: usize,
+) {
+    for d in descs {
+        assert!(
+            d.a_offset + d.a_span() <= a_len,
+            "{kernel}: A out of bounds"
+        );
+        assert!(
+            d.b_offset + d.b_span() <= b_len,
+            "{kernel}: B out of bounds"
+        );
+        assert!(
+            d.c_offset + d.c_span() <= c_len,
+            "{kernel}: C out of bounds"
+        );
+    }
+}
+
+/// Record and run one varied launch over bounds-checked descriptors.  `a`
+/// holds the `A` buffer from element `a_base` on, so descriptor `d` reads
+/// its `A` window at `d.a_offset - a_base`.
+#[allow(clippy::too_many_arguments)]
+fn launch_varied<T: Scalar>(
+    device: &Device,
+    stream: Stream,
+    kernel: &'static str,
+    descs: &[GemmDesc<T>],
+    a: &[T],
+    a_base: usize,
+    b: &[T],
+    c: &mut [T],
+) {
     let flops: u64 = descs.iter().map(|d| d.flops()).sum();
-    device.record_launch("gemm_batched_aliased", descs.len(), flops, stream.id());
+    device.record_launch(kernel, descs.len(), flops, stream.id());
     // No error channel on gemm (see `getrs_batched_varied`): FailLaunch
     // degrades to NaN poisoning of the output windows.
     let mut poison = false;
-    match device.take_launch_fault("gemm_batched_aliased") {
+    match device.take_launch_fault(kernel) {
         Some((FaultAction::FailLaunch | FaultAction::PoisonNan, _)) => poison = true,
         Some((FaultAction::Delay { micros }, _)) => {
             std::thread::sleep(std::time::Duration::from_micros(micros))
         }
         None => {}
     }
-
-    let b_data = b.data();
-
-    // Copy the A windows out first (cheap: they are rank-sized), then write
-    // into disjoint C windows in parallel.
-    let a_copies: Vec<Vec<T>> = descs
-        .iter()
-        .map(|d| ac.data()[d.a_offset..d.a_offset + d.a_span()].to_vec())
-        .collect();
 
     let windows: Vec<MatWindow> = descs
         .iter()
@@ -353,23 +364,17 @@ pub fn gemm_batched_aliased<T: Scalar>(
             ld: d.ldc,
         })
         .collect();
-    process_windows_mut(
-        ac.data_mut(),
-        &windows,
-        device.is_parallel(),
-        |i, c_view| {
-            let d = &descs[i];
-            gemm_into(
-                d,
-                &a_copies[i],
-                &b_data[d.b_offset..d.b_offset + d.b_span()],
-                c_view,
-            );
-        },
-    );
+    process_windows_mut(c, &windows, device.is_parallel(), |i, c_view| {
+        let d = &descs[i];
+        let a_window = match d.a_span() {
+            0 => &[][..],
+            span => &a[d.a_offset - a_base..][..span],
+        };
+        gemm_into(d, a_window, &b[d.b_offset..d.b_offset + d.b_span()], c_view);
+    });
     if poison {
         for d in descs {
-            poison_span(ac.data_mut(), d.c_offset, d.c_span());
+            poison_span(c, d.c_offset, d.c_span());
         }
     }
 }
@@ -556,6 +561,76 @@ mod tests {
         let upd = a.matmul(&b);
         expect.axpy(-1.0, &upd);
         assert!(got.sub(&expect).norm_max() < 1e-12);
+    }
+
+    /// Descriptors in the layout of the line-10 update on an `ldy`-row
+    /// buffer: C = the leading `prefix` columns split into the row blocks
+    /// `rows`, A = the `w` columns of the next level from column `a_col`.
+    fn line10_descs(
+        rows: &[(usize, usize)],
+        prefix: usize,
+        w: usize,
+        a_col: usize,
+        ldy: usize,
+    ) -> Vec<GemmDesc<f64>> {
+        rows.iter()
+            .enumerate()
+            .map(|(i, &(start, len))| GemmDesc {
+                m: len,
+                n: prefix,
+                k: w,
+                alpha: -1.0,
+                beta: 1.0,
+                op_a: Op::None,
+                op_b: Op::None,
+                a_offset: a_col * ldy + start,
+                lda: ldy,
+                b_offset: (i / 2) * 2 * w * prefix + (i % 2) * w,
+                ldb: 2 * w,
+                c_offset: start,
+                ldc: ldy,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn aliased_in_place_is_bitwise_varied_on_separate_buffers() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let ldy = 1 << 15;
+        let (prefix, w, a_col) = (3, 2, 4);
+        let rows: Vec<(usize, usize)> = (0..4).map(|i| (i * ldy / 4, ldy / 4)).collect();
+        let descs = line10_descs(&rows, prefix, w, a_col, ldy);
+        let ybig: DenseMatrix<f64> = random_matrix(&mut rng, ldy, a_col + w);
+        let wbuf: DenseMatrix<f64> = random_matrix(&mut rng, 2 * w, 2 * prefix);
+        for dev in [Device::new(), Device::sequential()] {
+            let b_buf = DeviceBuffer::from_host(&dev, wbuf.data());
+            let mut ac_buf = DeviceBuffer::from_host(&dev, ybig.data());
+            gemm_batched_aliased(&dev, Stream::default(), &descs, &mut ac_buf, &b_buf);
+
+            let a_buf = DeviceBuffer::from_host(&dev, ybig.data());
+            let mut c_buf = DeviceBuffer::from_host(&dev, ybig.data());
+            gemm_batched_varied(&dev, Stream::default(), &descs, &a_buf, &b_buf, &mut c_buf);
+
+            let got: Vec<u64> = ac_buf.download().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = c_buf.download().iter().map(|v| v.to_bits()).collect();
+            assert!(got == want, "aliased update differs from the varied one");
+            assert_ne!(
+                got,
+                ybig.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the A region")]
+    fn aliased_c_window_reaching_into_a_panics() {
+        let dev = Device::sequential();
+        let ldy = 16;
+        // C spans `prefix = 5` columns but A starts at column 4.
+        let descs = line10_descs(&[(0, 8), (8, 8)], 5, 2, 4, ldy);
+        let mut ac_buf = DeviceBuffer::<f64>::zeros(&dev, ldy * 6);
+        let b_buf = DeviceBuffer::<f64>::zeros(&dev, 2 * 2 * 5);
+        gemm_batched_aliased(&dev, Stream::default(), &descs, &mut ac_buf, &b_buf);
     }
 
     #[test]

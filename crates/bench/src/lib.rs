@@ -22,14 +22,15 @@
 //! in minutes) and `--sizes 4096,8192,...` to override the sweep explicitly.
 //! All harnesses print the same row layout as the corresponding table —
 //! `N`, factorization time `t_f`, solve time `t_s`, memory `mem`, relative
-//! residual `relres` per solver — so paper-vs-measured comparisons (recorded
-//! in EXPERIMENTS.md) are line-by-line.
+//! residual `relres` per solver — so paper-vs-measured comparisons are
+//! line-by-line.
 //!
 //! The wall-clock columns are measured on the virtual batched-BLAS device of
 //! `hodlr-batch`; absolute numbers therefore reflect CPU execution, while
 //! the *shape* — scaling slopes, memory footprints, residuals, who wins and
 //! where the crossovers are among the CPU solvers — is what reproduces the
-//! paper (see DESIGN.md for the substitution argument).
+//! paper (see "Deviations from the paper" in ARCHITECTURE.md for the
+//! substitution argument).
 //!
 //! Every row records the rayon pool size in a `threads` column (set
 //! `HODLR_NUM_THREADS` to sweep it), and every binary additionally emits a

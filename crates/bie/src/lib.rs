@@ -22,7 +22,7 @@
 //! builder compresses its off-diagonal blocks directly from the analytic
 //! kernel (the paper uses proxy surfaces for this step; we use algebraic
 //! compression of the same entries, which preserves the ranks the format is
-//! built on — see DESIGN.md).
+//! built on — see "Deviations from the paper" in ARCHITECTURE.md).
 
 pub mod contour;
 pub mod helmholtz;

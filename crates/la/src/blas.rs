@@ -533,12 +533,45 @@ pub fn gemm_reference<T: Scalar>(
 }
 
 /// `y += alpha * x` over slices of equal length (the hot inner loop).
+///
+/// Real fields use a fused multiply-add per element.  A build for baseline
+/// x86-64 turns that into a library call per element, so on x86-64 CPUs
+/// with FMA the same loop runs in a copy compiled for AVX2+FMA, chosen once
+/// per call at run time (Miri always runs the portable loop).  Both copies
+/// compute the same correctly rounded `x * alpha + y`, so results are
+/// bitwise identical either way.
 #[inline]
 pub fn axpy_slice<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     debug_assert_eq!(x.len(), y.len());
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if !T::IS_COMPLEX
+        && std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma")
+    {
+        // SAFETY: `axpy_fma` requires only that the CPU supports AVX2 and
+        // FMA, which the run-time checks above establish.
+        unsafe { axpy_fma(alpha, x, y) };
+        return;
+    }
+    axpy_portable(alpha, x, y);
+}
+
+/// The portable `axpy_slice` loop.
+#[inline(always)]
+fn axpy_portable<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi = xi.mul_add(alpha, *yi);
     }
+}
+
+/// [`axpy_portable`] compiled with hardware FMA enabled.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn axpy_fma<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
+    axpy_portable(alpha, x, y);
 }
 
 /// Dot product `sum_i conj(x_i) * y_i` (the complex inner product).
@@ -642,6 +675,83 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
         })
+    }
+
+    /// Check the dispatched [`axpy_slice`] against a plain `mul_add` loop,
+    /// bit for bit (any NaN matches any NaN), for every length `0..=130` and
+    /// inputs drawn from `specials` and random normals of mixed magnitude.
+    fn assert_axpy_bitwise<T: Scalar>(
+        specials: &[T],
+        normal: impl Fn(f64) -> T,
+        bits: impl Fn(T) -> u64,
+        is_nan: impl Fn(T) -> bool,
+    ) {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if state.is_multiple_of(4) {
+                specials[(state >> 8) as usize % specials.len()]
+            } else {
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+                normal(unit * 2f64.powi((state % 61) as i32 - 30))
+            }
+        };
+        for len in 0..=130 {
+            let x: Vec<T> = (0..len).map(|_| draw()).collect();
+            let y0: Vec<T> = (0..len).map(|_| draw()).collect();
+            let alphas: Vec<T> = specials.iter().copied().chain([draw(), draw()]).collect();
+            for alpha in alphas {
+                let mut got = y0.clone();
+                axpy_slice(alpha, &x, &mut got);
+                for (i, &g) in got.iter().enumerate() {
+                    let want = x[i].mul_add(alpha, y0[i]);
+                    assert_eq!(is_nan(g), is_nan(want), "len {len} index {i}");
+                    if !is_nan(want) {
+                        assert_eq!(bits(g), bits(want), "len {len} index {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn axpy_dispatch_is_bitwise_the_portable_loop_f64() {
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE * 0.75,
+            f64::from_bits(1),
+        ];
+        assert_axpy_bitwise(&specials, |v| v, f64::to_bits, f64::is_nan);
+    }
+
+    #[test]
+    fn axpy_dispatch_is_bitwise_the_portable_loop_f32() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            1.0,
+            1.0 + f32::EPSILON,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE * 0.75,
+            f32::from_bits(1),
+        ];
+        assert_axpy_bitwise(&specials, |v| v as f32, |v| v.to_bits().into(), f32::is_nan);
     }
 
     #[test]

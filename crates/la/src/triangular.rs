@@ -47,18 +47,20 @@ pub fn solve_triangular_in_place<T: Scalar>(
     }
 }
 
-#[allow(clippy::needless_range_loop)] // k indexes both t and x
+/// Forward substitution in column order: once `x[k]` is final, column `k`
+/// of `T` (read contiguously) is eliminated from the rows below it.  Each
+/// row still subtracts its terms in ascending `k` with a separate multiply
+/// and subtract, so the result is bitwise the row-order dot-product form.
 fn solve_lower_col<T: Scalar>(t: MatRef<'_, T>, diag: Diag, x: &mut [T]) {
-    let n = x.len();
-    for i in 0..n {
-        let mut acc = x[i];
-        for k in 0..i {
-            acc -= t.get(i, k) * x[k];
+    for k in 0..x.len() {
+        if diag == Diag::NonUnit {
+            x[k] *= t.get(k, k).recip();
         }
-        x[i] = match diag {
-            Diag::Unit => acc,
-            Diag::NonUnit => acc * t.get(i, i).recip(),
-        };
+        let (head, below) = x.split_at_mut(k + 1);
+        let xk = head[k];
+        for (xi, &tik) in below.iter_mut().zip(&t.col(k)[k + 1..]) {
+            *xi -= tik * xk;
+        }
     }
 }
 
@@ -126,6 +128,49 @@ mod tests {
         );
         solve_triangular_in_place(u.as_ref(), Triangle::Upper, Diag::NonUnit, b.as_mut());
         assert!(b.sub(&x_true).norm_max() < 1e-13);
+    }
+
+    /// The column-order lower solve gives bitwise the row-order
+    /// substitution `x_i = (b_i - sum_{k<i} t_ik x_k) * (1 / t_ii)`, with
+    /// the sum taken in ascending `k`.
+    fn assert_lower_bitwise_row_order<T: Scalar>(to_t: impl Fn(f64, f64) -> T) {
+        let n = 37;
+        let entry = |i: usize, j: usize| {
+            let s = ((i * 31 + j * 17) % 23) as f64 / 7.0 - 1.5;
+            to_t(s, ((i + 2 * j) % 5) as f64 * 0.3 - 0.6)
+        };
+        let t = DenseMatrix::from_fn(n, n, |i, j| {
+            if i == j {
+                entry(i, j) + to_t(4.0, 0.0)
+            } else {
+                entry(i, j)
+            }
+        });
+        let b = DenseMatrix::from_fn(n, 3, |i, j| entry(i + 5, j + 11));
+        for diag in [Diag::Unit, Diag::NonUnit] {
+            let mut got = b.clone();
+            solve_triangular_in_place(t.as_ref(), Triangle::Lower, diag, got.as_mut());
+            for j in 0..3 {
+                let mut x = b.col(j).to_vec();
+                for i in 0..n {
+                    let mut acc = x[i];
+                    for k in 0..i {
+                        acc -= t[(i, k)] * x[k];
+                    }
+                    x[i] = match diag {
+                        Diag::Unit => acc,
+                        Diag::NonUnit => acc * t[(i, i)].recip(),
+                    };
+                }
+                assert!(got.col(j) == x.as_slice(), "{diag:?} column {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn lower_column_order_is_bitwise_row_order() {
+        assert_lower_bitwise_row_order(|re, _| re);
+        assert_lower_bitwise_row_order(crate::Complex64::new);
     }
 
     #[test]
